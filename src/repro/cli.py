@@ -437,10 +437,9 @@ def cmd_bench(args) -> int:
 def cmd_lint(args) -> int:
     """``repro lint``: run the iplint invariant rules over source paths.
 
-    With no paths, lints the installed ``repro`` package itself.  The
-    flow-sensitive pass is on by default; ``--no-flow`` reverts to the
-    purely syntactic rules.  Exits 0 when clean, 1 with findings, 2
-    when a file cannot be parsed.
+    With no paths, lints the installed ``repro`` package itself, running
+    the syntactic and the flow-sensitive rules.  Exits 0 when clean, 1
+    with findings, 2 when a file cannot be parsed.
     """
     from pathlib import Path
 
@@ -448,7 +447,7 @@ def cmd_lint(args) -> int:
 
     paths = args.paths or [str(Path(__file__).resolve().parent)]
     try:
-        findings = run_lint(paths, flow=args.flow)
+        findings = run_lint(paths)
     except SyntaxError as exc:
         print(f"iplint: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}",
               file=sys.stderr)
@@ -636,10 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files/directories to lint (default: the repro package)")
     p.add_argument("--format", choices=("human", "json", "github"),
                    default="human")
-    p.add_argument("--flow", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="flow-sensitive rules (CFG/call-graph pass); "
-                        "--no-flow runs only the syntactic rules")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("trace-replay", help="replay a trace: IPA vs IPL")

@@ -21,6 +21,13 @@ own subsystem:
   engine transactions (buffer pool, WAL, group commit) driven as
   resumable storage programs under the same scheduler.
 
+Both load levels share one measurement core, kept in
+:mod:`~repro.hostq.loadtest`: ``LoadAxes`` (the config axes both
+levels carry, their validation and the report label),
+``MeasurementWindow`` (makespan, channels, die utilization and the
+latency summary of the measured span after the prefill) and
+``LoadResultCore`` (those result fields and the report frame).
+
 The layer programs strictly against the device *protocol* — it never
 imports a concrete backend (iplint's device-layering rule holds here
 too), which is what lets one load harness compare NoFTL, BlockSSD and

@@ -14,6 +14,13 @@ what the report prints).  Everything is deterministic for a fixed seed
 and flag set: the report strings are byte-identical across runs, which
 CI asserts.
 
+Both levels — this one and :mod:`~repro.hostq.txnexec` — measure
+through one core kept here: :class:`LoadAxes` validates and labels the
+axes their configs share, :class:`MeasurementWindow` brackets the
+measured load after the prefill, and :class:`LoadResultCore` holds the
+latency summary (mean, max, :data:`QUANTILES`), the die channels and
+utilization, and renders the report around the level's own rows.
+
 The queue-depth sweep (:func:`sweep_queue_depth`) reruns one
 configuration across depths; on a multi-die backend throughput rises
 with depth while p99 grows, until die utilization saturates — the NCQ
@@ -23,6 +30,7 @@ story "How to Write to SSDs" tells, reproduced end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Any, ClassVar
 
 from ..analysis.cdf import CDF, sample_percentile
 from ..analysis.report import format_table
@@ -37,8 +45,11 @@ from .request import KIND_BY_NAME, OpKind, Request
 from .scheduler import HostScheduler
 
 __all__ = [
+    "LoadAxes",
+    "LoadResultCore",
     "LoadTestConfig",
     "LoadTestResult",
+    "MeasurementWindow",
     "run_loadtest",
     "sweep_queue_depth",
     "format_sweep",
@@ -49,42 +60,48 @@ QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 
 
 @dataclass(frozen=True)
-class LoadTestConfig:
-    """One load-test configuration (every field is CLI-settable)."""
+class LoadAxes:
+    """The axes both load-test levels share, their checks and label.
+
+    :class:`LoadTestConfig` and
+    :class:`~repro.hostq.txnexec.TxnLoadTestConfig` extend it with the
+    level's own fields; ``LABEL_AXES`` names the level's own label
+    fields and :meth:`_check_level` adds the level's own rules.
+    """
+
+    LABEL_AXES: ClassVar[tuple[str, ...]] = ()
 
     backend: str = "noftl"
+    shards: int = 4
     clients: int = 8
     queue_depth: int = 8
-    arrival: str = "closed"
     seed: int = 7
-    requests: int = 2000
     profile: str = "uniform"
     logical_pages: int = 512
-    shards: int = 4
     #: Closed-loop mean think time between a completion and the client's
     #: next submission (exponential; 0 = maximum pressure).
     think_us: float = 0.0
-    #: Open-loop Poisson arrival rate, requests per second.
-    rate_rps: float = 20_000.0
-    admission: str = "block"
     #: Commits batched per WAL force (1 = force every commit).
     group_commit: int = 8
-    force_latency_us: float = 50.0
 
     def validate(self) -> None:
         """Reject configurations the harness cannot run (ReproError)."""
-        if self.arrival not in ("closed", "open"):
-            raise ReproError(f"arrival must be 'closed' or 'open', got {self.arrival!r}")
-        if self.admission not in ADMISSION_POLICIES:
-            raise ReproError(f"admission must be one of {ADMISSION_POLICIES}")
         if self.profile not in PROFILES:
             raise ReproError(
                 f"unknown profile {self.profile!r}; choose from {sorted(PROFILES)}"
             )
         if self.clients < 1:
             raise ReproError("need at least one client")
-        if self.requests < 1:
-            raise ReproError("need at least one request")
+        if self.queue_depth < 1:
+            raise ReproError(f"queue depth must be at least 1, got {self.queue_depth}")
+        if self.group_commit < 1:
+            raise ReproError(
+                f"group commit must batch at least 1 commit, got {self.group_commit}"
+            )
+        self._check_level()
+
+    def _check_level(self) -> None:
+        """The level's own rules; raises ReproError."""
 
     def label(self, with_depth: bool = True) -> str:
         """One-line run descriptor used in report titles."""
@@ -92,10 +109,32 @@ class LoadTestConfig:
         if backend == "sharded":
             backend = f"sharded[{self.shards}]"
         depth = f"depth={self.queue_depth} " if with_depth else ""
-        return (
-            f"backend={backend} clients={self.clients} {depth}"
-            f"arrival={self.arrival} profile={self.profile} seed={self.seed}"
-        )
+        axes = " ".join(f"{axis}={getattr(self, axis)}" for axis in self.LABEL_AXES)
+        return f"backend={backend} clients={self.clients} {depth}{axes} seed={self.seed}"
+
+
+@dataclass(frozen=True)
+class LoadTestConfig(LoadAxes):
+    """One load-test configuration (every field is CLI-settable)."""
+
+    arrival: str = "closed"
+    requests: int = 2000
+    #: Open-loop Poisson arrival rate, requests per second.
+    rate_rps: float = 20_000.0
+    admission: str = "block"
+    force_latency_us: float = 50.0
+
+    LABEL_AXES = ("arrival", "profile")
+
+    def _check_level(self) -> None:
+        if self.arrival not in ("closed", "open"):
+            raise ReproError(f"arrival must be 'closed' or 'open', got {self.arrival!r}")
+        if self.admission not in ADMISSION_POLICIES:
+            raise ReproError(f"admission must be one of {ADMISSION_POLICIES}")
+        if self.requests < 1:
+            raise ReproError("need at least one request")
+        if self.arrival == "open" and self.rate_rps <= 0.0:
+            raise ReproError(f"open-loop arrival rate must be positive, got {self.rate_rps}")
 
 
 class DeviceExecutor:
@@ -159,26 +198,88 @@ class DeviceExecutor:
         return self.device.write(request.lpn, image, now).latency_us
 
 
+def _total_busy_us(device) -> float:
+    """Sum of per-chip accumulated command time across the device."""
+    scratch = MetricsRegistry()
+    device.collect_gauges(scratch)
+    return sum(
+        metric.value
+        for metric in scratch
+        if "chip_" in metric.name and metric.name.endswith("_busy_time_us")
+    )
+
+
+class MeasurementWindow:
+    """The simulated span one load run is measured over.
+
+    Opened after the prefill and the stats reset: ``t0`` is when the
+    last die goes idle, and the chips' accumulated busy time is noted so
+    :meth:`summarize` charges only the measured load.
+    """
+
+    def __init__(self, device) -> None:
+        self.device = device
+        self.t0 = max(device.occupancy())
+        self._busy0 = _total_busy_us(device)
+
+    def summarize(self, end: float, samples: list[float]) -> dict[str, Any]:
+        """The :class:`LoadResultCore` fields of a run ending at ``end``."""
+        makespan = max(end - self.t0, 1e-9)
+        channels = len(self.device.occupancy())
+        busy = _total_busy_us(self.device) - self._busy0
+        ordered = sorted(samples)
+        return {
+            "makespan_us": makespan,
+            "mean_latency_us": sum(ordered) / len(ordered) if ordered else 0.0,
+            "max_latency_us": ordered[-1] if ordered else 0.0,
+            "percentiles": {name: sample_percentile(ordered, q) for name, q in QUANTILES},
+            "channels": channels,
+            "die_utilization": min(1.0, busy / (channels * makespan)),
+            "samples": list(samples),
+        }
+
+
+@dataclass(kw_only=True)
+class LoadResultCore:
+    """What both load-test levels measure, and their report's frame."""
+
+    makespan_us: float
+    mean_latency_us: float
+    max_latency_us: float
+    percentiles: dict[str, float]
+    channels: int
+    die_utilization: float
+    samples: list[float] = field(repr=False, default_factory=list)
+
+    def _report(self, title: str, head: list, latency: str, middle: list) -> str:
+        """The metric table: ``head``, the latency rows, ``middle``, the window."""
+        rows = [*head, [f"mean {latency} [us]", self.mean_latency_us]]
+        rows += [
+            [f"{name} {latency} [us]", value] for name, value in self.percentiles.items()
+        ]
+        rows += [
+            [f"max {latency} [us]", self.max_latency_us],
+            *middle,
+            ["die channels", self.channels],
+            ["die utilization [%]", 100.0 * self.die_utilization],
+            ["makespan [ms]", self.makespan_us / 1000.0],
+        ]
+        return format_table(["metric", "value"], rows, title=title)
+
+
 @dataclass
-class LoadTestResult:
+class LoadTestResult(LoadResultCore):
     """Everything one load-test run measured."""
 
     config: LoadTestConfig
     generated: int
     completed: int
     rejected: int
-    makespan_us: float
     throughput_rps: float
-    mean_latency_us: float
-    max_latency_us: float
-    percentiles: dict[str, float]
     kind_counts: dict[str, int]
     delta_fallbacks: int
-    channels: int
-    die_utilization: float
     queue_stats: QueueStats
     gate_stats: GroupCommitStats
-    samples: list[float] = field(repr=False, default_factory=list)
 
     def cdf(self) -> CDF:
         """Latency CDF over the exact end-to-end samples."""
@@ -213,38 +314,19 @@ class LoadTestResult:
 
     def report(self) -> str:
         """The deterministic human-readable report ``repro loadtest`` prints."""
-        rows = [
+        head = [
             ["requests completed", self.completed],
             ["requests rejected", self.rejected],
             ["throughput [req/s]", self.throughput_rps],
-            ["mean latency [us]", self.mean_latency_us],
         ]
-        rows += [[f"{name} latency [us]", value] for name, value in self.percentiles.items()]
-        rows += [
-            ["max latency [us]", self.max_latency_us],
+        middle = [
             ["queue depth used (max)", self.queue_stats.max_depth_used],
             ["head-of-line bypasses", self.queue_stats.holb_bypasses],
             ["delta fallbacks", self.delta_fallbacks],
             ["commit forces", self.gate_stats.forces],
             ["commits per force", self.gate_stats.commits_per_force],
-            ["die channels", self.channels],
-            ["die utilization [%]", 100.0 * self.die_utilization],
-            ["makespan [ms]", self.makespan_us / 1000.0],
         ]
-        return format_table(
-            ["metric", "value"], rows, title=f"loadtest: {self.config.label()}"
-        )
-
-
-def _total_busy_us(device) -> float:
-    """Sum of per-chip accumulated command time across the device."""
-    scratch = MetricsRegistry()
-    device.collect_gauges(scratch)
-    return sum(
-        metric.value
-        for metric in scratch
-        if "chip_" in metric.name and metric.name.endswith("_busy_time_us")
-    )
+        return self._report(f"loadtest: {self.config.label()}", head, "latency", middle)
 
 
 def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None) -> LoadTestResult:
@@ -260,8 +342,7 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
     executor = DeviceExecutor(device, profile.delta_area_bytes)
     executor.prefill(config.logical_pages)
     device.reset_stats()
-    t0 = max(device.occupancy())
-    busy0 = _total_busy_us(device)
+    window = MeasurementWindow(device)
 
     queue = SubmissionQueue(config.queue_depth, policy=config.admission)
     gate = GroupCommitGate(
@@ -287,6 +368,12 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
             lpn=lpn, length=length,
         )
 
+    def record(request: Request, now: float) -> None:
+        if not request.rejected:
+            samples.append(request.latency_us)
+            latency_hist.observe(request.latency_us)
+            kind_counts[request.kind.value] += 1
+
     scheduler = HostScheduler(device, queue, executor.execute, gate=gate)
 
     if config.arrival == "closed":
@@ -296,10 +383,7 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
         ]
 
         def on_complete(request: Request, now: float) -> None:
-            if not request.rejected:
-                samples.append(request.latency_us)
-                latency_hist.observe(request.latency_us)
-                kind_counts[request.kind.value] += 1
+            record(request, now)
             if generated >= config.requests:
                 return
             client = clients[request.client]
@@ -316,15 +400,9 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
 
         scheduler.on_complete = on_complete
         for client in clients:
-            scheduler.schedule(t0, _closed_arrival(client))
+            scheduler.schedule(window.t0, _closed_arrival(client))
     else:
         arrivals = OpenLoopArrivals(sessions, config.rate_rps, seed=config.seed)
-
-        def on_complete_open(request: Request, now: float) -> None:
-            if not request.rejected:
-                samples.append(request.latency_us)
-                latency_hist.observe(request.latency_us)
-                kind_counts[request.kind.value] += 1
 
         def open_arrival(now: float) -> None:
             client, op = arrivals.next_op()
@@ -332,15 +410,10 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
             if generated < config.requests:
                 scheduler.schedule(now + arrivals.interarrival_us(), open_arrival)
 
-        scheduler.on_complete = on_complete_open
-        scheduler.schedule(t0 + arrivals.interarrival_us(), open_arrival)
+        scheduler.on_complete = record
+        scheduler.schedule(window.t0 + arrivals.interarrival_us(), open_arrival)
 
-    end = scheduler.run()
-    makespan = max(end - t0, 1e-9)
-    busy1 = _total_busy_us(device)
-    channels = len(device.occupancy())
-    utilization = min(1.0, (busy1 - busy0) / (channels * makespan))
-    ordered = sorted(samples)
+    core = window.summarize(scheduler.run(), samples)
     completed = len(samples)
     rejected = len(scheduler.rejected)
 
@@ -373,18 +446,12 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
         generated=generated,
         completed=completed,
         rejected=rejected,
-        makespan_us=makespan,
-        throughput_rps=completed / (makespan / 1e6),
-        mean_latency_us=sum(ordered) / completed if completed else 0.0,
-        max_latency_us=ordered[-1] if ordered else 0.0,
-        percentiles={name: sample_percentile(ordered, q) for name, q in QUANTILES},
+        throughput_rps=completed / (core["makespan_us"] / 1e6),
         kind_counts=kind_counts,
         delta_fallbacks=executor.delta_fallbacks,
-        channels=channels,
-        die_utilization=utilization,
         queue_stats=queue.stats,
         gate_stats=gate.stats,
-        samples=samples,
+        **core,
     )
 
 

@@ -43,11 +43,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 
-from ..analysis.cdf import sample_percentile
-from ..analysis.report import format_table
 from ..core.scheme import NxMScheme, SCHEME_OFF
 from ..errors import ReproError
 from ..storage.clock import DeferredClock
@@ -56,9 +54,9 @@ from ..storage.program import CommandKind, DeviceCommand
 from ..telemetry.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 from ..session import SessionConfig, open_session
 from ..workloads.sessions import PROFILES, ClientSession
-from .clients import ClosedLoopClient
+from .clients import ClosedLoopClient, build_sessions
 from .groupcommit import GroupCommitGate
-from .loadtest import QUANTILES, _total_busy_us
+from .loadtest import LoadAxes, LoadResultCore, MeasurementWindow
 from .queueing import SubmissionQueue
 from .request import OpKind, Request
 from .scheduler import HostScheduler
@@ -124,46 +122,36 @@ class _TxnCtx:
 
 
 @dataclass(frozen=True)
-class TxnLoadTestConfig:
+class TxnLoadTestConfig(LoadAxes):
     """One transaction-level load-test configuration."""
 
-    backend: str = "noftl"
+    LABEL_AXES = ("profile", "scheme")
+
     clients: int = 4
-    queue_depth: int = 8
-    seed: int = 7
     #: Total transactions across all clients.
     txns: int = 200
     profile: str = "tpcb"
     logical_pages: int = 256
-    shards: int = 4
     scheme: NxMScheme = SCHEME_OFF
     #: Buffer pool as a fraction of the logical pages (floored so every
     #: client can hold a pin plus headroom for the victim scan).
     buffer_fraction: float = 0.5
     eviction: str = "eager"
-    think_us: float = 0.0
-    #: Commits batched per WAL force (gate max_group).
-    group_commit: int = 8
     #: Override of the profile's rollback fraction (``None`` = profile).
     rollback: float | None = None
     #: Override of the profile's ops per transaction (0 = profile; a
     #: profile without commit cadence falls back to 4).
     ops_per_txn: int = 0
 
-    def validate(self) -> None:
-        """Reject configurations the harness cannot run (ReproError)."""
-        if self.profile not in PROFILES:
-            raise ReproError(
-                f"unknown profile {self.profile!r}; choose from {sorted(PROFILES)}"
-            )
-        if self.clients < 1:
-            raise ReproError("need at least one client")
+    def _check_level(self) -> None:
         if self.txns < 1:
             raise ReproError("need at least one transaction")
         if not 0.0 < self.buffer_fraction <= 1.0:
             raise ReproError("buffer_fraction must be in (0, 1]")
         if self.rollback is not None and not 0.0 <= self.rollback <= 1.0:
             raise ReproError("rollback fraction must be in [0, 1]")
+        if self.ops_per_txn < 0:
+            raise ReproError(f"ops per transaction must be >= 0, got {self.ops_per_txn}")
 
     def effective_ops_per_txn(self) -> int:
         """Ops per transaction after profile defaults and overrides."""
@@ -174,16 +162,6 @@ class TxnLoadTestConfig:
         if self.rollback is not None:
             return self.rollback
         return PROFILES[self.profile].rollback_fraction
-
-    def label(self) -> str:
-        """One-line run descriptor used in report titles."""
-        backend = self.backend
-        if backend == "sharded":
-            backend = f"sharded[{self.shards}]"
-        return (
-            f"backend={backend} clients={self.clients} depth={self.queue_depth} "
-            f"profile={self.profile} scheme={self.scheme} seed={self.seed}"
-        )
 
 
 class TxnExecutor:
@@ -499,7 +477,7 @@ class TxnExecutor:
 
 
 @dataclass
-class TxnLoadTestResult:
+class TxnLoadTestResult(LoadResultCore):
     """Everything one transaction-level load-test run measured."""
 
     config: TxnLoadTestConfig
@@ -508,11 +486,7 @@ class TxnLoadTestResult:
     aborted: int
     retried: int
     conflict_waits: int
-    makespan_us: float
     throughput_tps: float
-    mean_latency_us: float
-    max_latency_us: float
-    percentiles: dict[str, float]
     log_forces: int
     commits_grouped: int
     commits_per_force: float
@@ -520,9 +494,6 @@ class TxnLoadTestResult:
     oop_flushes: int
     skipped_flushes: int
     buffer_hit_ratio: float
-    channels: int
-    die_utilization: float
-    samples: list[float] = field(repr=False, default_factory=list)
 
     def to_dict(self) -> dict:
         """JSON-friendly summary (benchmark trajectory tracking)."""
@@ -556,20 +527,14 @@ class TxnLoadTestResult:
 
     def report(self) -> str:
         """The deterministic report ``repro loadtest --level txn`` prints."""
-        rows = [
+        head = [
             ["transactions committed", self.committed],
             ["transactions aborted", self.aborted],
             ["transactions retried", self.retried],
             ["conflict waits", self.conflict_waits],
             ["throughput [txn/s]", self.throughput_tps],
-            ["mean txn latency [us]", self.mean_latency_us],
         ]
-        rows += [
-            [f"{name} txn latency [us]", value]
-            for name, value in self.percentiles.items()
-        ]
-        rows += [
-            ["max txn latency [us]", self.max_latency_us],
+        middle = [
             ["log forces", self.log_forces],
             ["commits grouped", self.commits_grouped],
             ["commits per force", self.commits_per_force],
@@ -577,12 +542,9 @@ class TxnLoadTestResult:
             ["oop flushes", self.oop_flushes],
             ["skipped flushes", self.skipped_flushes],
             ["buffer hit ratio [%]", 100.0 * self.buffer_hit_ratio],
-            ["die channels", self.channels],
-            ["die utilization [%]", 100.0 * self.die_utilization],
-            ["makespan [ms]", self.makespan_us / 1000.0],
         ]
-        return format_table(
-            ["metric", "value"], rows, title=f"txn loadtest: {self.config.label()}"
+        return self._report(
+            f"txn loadtest: {self.config.label()}", head, "txn latency", middle
         )
 
 
@@ -623,26 +585,17 @@ def run_txn_loadtest(
         page = SlottedPage.format(lpn, device.page_size, area)
         device.write(lpn, bytes(page.image), 0.0)
     device.reset_stats()
-    t0 = max(device.occupancy())
-    busy0 = _total_busy_us(device)
-    clock.sync_to(t0)
+    window = MeasurementWindow(device)
+    clock.sync_to(window.t0)
 
     queue = SubmissionQueue(config.queue_depth, policy="block")
     gate = GroupCommitGate(max_group=config.group_commit, log=engine.log)
-    sessions = [
-        ClientSession(profile, config.logical_pages, seed=config.seed, client=index)
-        for index in range(config.clients)
-    ]
+    sessions = build_sessions(profile, config.clients, config.logical_pages, config.seed)
     executor = TxnExecutor(engine, clock, queue, gate, sessions, config)
-    executor.start(t0)
-    end = executor.run()
+    executor.start(window.t0)
+    core = window.summarize(executor.run(), executor.samples)
     # Pin-leak assertion: every completed operation released its pins.
     engine.pool.assert_no_pins()
-
-    makespan = max(end - t0, 1e-9)
-    busy1 = _total_busy_us(device)
-    channels = len(device.occupancy())
-    ordered = sorted(executor.samples)
     committed = executor.txns_committed
 
     registry.counter(
@@ -676,22 +629,13 @@ def run_txn_loadtest(
         aborted=executor.txns_aborted,
         retried=executor.txns_retried,
         conflict_waits=executor.conflict_waits,
-        makespan_us=makespan,
-        throughput_tps=committed / (makespan / 1e6),
-        mean_latency_us=sum(ordered) / committed if committed else 0.0,
-        max_latency_us=ordered[-1] if ordered else 0.0,
-        percentiles={name: sample_percentile(ordered, q) for name, q in QUANTILES},
+        throughput_tps=committed / (core["makespan_us"] / 1e6),
         log_forces=log.forces,
         commits_grouped=log.commits_grouped,
-        commits_per_force=(
-            executor.scheduler.gate.stats.commits_per_force
-            if executor.scheduler.gate else 0.0
-        ),
+        commits_per_force=gate.stats.commits_per_force,
         ipa_flushes=engine.ipa.stats.ipa_flushes,
         oop_flushes=engine.ipa.stats.oop_flushes,
         skipped_flushes=engine.ipa.stats.skipped_flushes,
         buffer_hit_ratio=engine.pool.stats.hit_ratio,
-        channels=channels,
-        die_utilization=min(1.0, (busy1 - busy0) / (channels * makespan)),
-        samples=list(executor.samples),
+        **core,
     )

@@ -13,12 +13,12 @@ invariants this codebase rests on (DESIGN.md §9):
 * **counter-naming** — metric names follow ``{layer}_{noun}``;
 * **exception-discipline** — no bare/blind ``except``.
 
-A flow-sensitive pass (:mod:`repro.lintkit.flow`, on by default) adds
-CFG- and call-graph-backed rules — **yield-discipline**,
-**lock-ordering**, **crash-window**, **transitive-layering**, and a
-dominator-based **telemetry-guard** (DESIGN.md §13).
+A flow-sensitive pass (:mod:`repro.lintkit.flow`) adds CFG- and
+call-graph-backed rules — **yield-discipline**, **lock-ordering**,
+**crash-window**, **transitive-layering**, and the dominator-based
+**telemetry-guard** (DESIGN.md §13).
 
-Run it as ``repro lint [--format json|github] [--no-flow] [paths...]``
+Run it as ``repro lint [--format json|github] [paths...]``
 (CI does), or programmatically::
 
     from repro.lintkit import run_lint

@@ -259,22 +259,19 @@ def run_lint(
     paths: Iterable[str | Path],
     rules: Sequence[Rule] | None = None,
     root: str | Path | None = None,
-    flow: bool = True,
 ) -> list[Finding]:
     """Lint files/directories with the given rules (default: all).
 
-    Returns every unsuppressed finding sorted by location.  ``flow``
-    selects the default rule set (flow-sensitive pass on/off) and is
-    ignored when explicit ``rules`` are given.  All modules are parsed
-    up front so flow rules share one analysis context (one call-graph
-    build per run).  The imports of the rule set and the flow layer
+    Returns every unsuppressed finding sorted by location.  All modules
+    are parsed up front so flow rules share one analysis context (one
+    call-graph build per run).  The imports of the rule set and the flow layer
     live here (not module top) so the engine stays importable from the
     rule modules without a cycle.
     """
     if rules is None:
         from .rules import default_rules
 
-        rules = default_rules(flow=flow)
+        rules = default_rules()
     root_path = Path(root) if root is not None else None
     modules = [
         load_module(path, root_path)

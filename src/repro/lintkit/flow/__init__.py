@@ -12,8 +12,7 @@ at a time; this package adds the machinery to judge *paths*:
   the :class:`FlowRule` base class;
 * :mod:`~repro.lintkit.flow.rules` — the five flow rules.
 
-Flow rules are on by default (``repro lint``); ``--no-flow`` drops
-back to the purely syntactic rule set.
+``repro lint`` runs the flow rules next to the syntactic ones.
 """
 
 from __future__ import annotations

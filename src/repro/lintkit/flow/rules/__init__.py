@@ -13,10 +13,8 @@ rule id                   invariant
 ``transitive-layering``   no call chain into concrete backends
 ========================  ============================================
 
-``telemetry-guard`` deliberately reuses the syntactic rule's id: it is
-the same contract, enforced precisely, and existing suppressions keep
-working.  ``default_rules(flow=True)`` swaps the syntactic
-implementation out for this one.
+``telemetry-guard`` keeps the id of the line-span rule it replaced, so
+existing suppressions keep working.
 """
 
 from __future__ import annotations

@@ -2,12 +2,10 @@
 
 The telemetry bus contract (DESIGN.md §9) is that a disabled bus costs
 nothing: every ``.emit(...)`` call sits behind an ``if ...active:``
-guard so the event tuple is never even built on the cold path.  The
-original syntactic rule approximated "behind a guard" with line spans,
-which produced false negatives (an emit after the guarded block, but
-on the same line range) and could not see bail-outs.
-
-The flow version states the contract exactly: the basic block holding
+guard so the event tuple is never even built on the cold path.  Line
+spans cannot express "behind a guard" (an emit after the guarded
+block, but on the same line range, slips through), so the rule states
+the contract exactly: the basic block holding
 the emit statement must be **dominated** by a branch edge that implies
 the bus is active.  Because the CFG gives every branch outcome its own
 synthetic entry block, all the idioms reduce to plain dominance::

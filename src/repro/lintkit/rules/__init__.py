@@ -7,10 +7,8 @@ the set the CLI, the CI job and the regression test run over
 to :data:`RULE_CLASSES`, and give it passing/failing fixtures in
 ``tests/test_lintkit_rules.py``.
 
-With the flow pass enabled (the default), the flow rules from
-:mod:`repro.lintkit.flow.rules` join the set and the dominator-based
-``telemetry-guard`` replaces the syntactic line-span heuristic; with
-``flow=False`` the original purely syntactic seven run alone.
+The flow rules from :mod:`repro.lintkit.flow.rules` (among them the
+dominator-based ``telemetry-guard``) always join the set.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .determinism import DeterminismRule
 from .exceptions import ExceptionDisciplineRule
 from .ispp import IsppSafetyRule
 from .layering import DeviceLayeringRule
-from .telemetry import CounterNamingRule, TelemetryGuardRule
+from .telemetry import CounterNamingRule
 
 __all__ = [
     "RULE_CLASSES",
@@ -31,7 +29,6 @@ __all__ = [
     "DeviceLayeringRule",
     "ExceptionDisciplineRule",
     "IsppSafetyRule",
-    "TelemetryGuardRule",
     "default_rules",
     "rule_by_id",
 ]
@@ -41,37 +38,21 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     IsppSafetyRule,
     DeviceLayeringRule,
     DeterminismRule,
-    TelemetryGuardRule,
     CounterNamingRule,
     ExceptionDisciplineRule,
     ClockDisciplineRule,
 )
 
 
-def default_rules(flow: bool = True) -> list[Rule]:
-    """Fresh instances of the default rule set.
-
-    ``flow=True`` (the default) adds the flow-sensitive rules and
-    swaps the syntactic :class:`TelemetryGuardRule` for its
-    dominator-based replacement (same rule id, precise semantics).
-    """
-    if not flow:
-        return [cls() for cls in RULE_CLASSES]
+def default_rules() -> list[Rule]:
+    """Fresh instances of the default rule set: syntactic, then flow."""
     from ..flow.rules import FLOW_RULE_CLASSES  # late: avoids a cycle
 
-    rules: list[Rule] = [
-        cls() for cls in RULE_CLASSES if cls is not TelemetryGuardRule
-    ]
-    rules.extend(cls() for cls in FLOW_RULE_CLASSES)
-    return rules
+    return [cls() for cls in RULE_CLASSES + FLOW_RULE_CLASSES]
 
 
 def rule_by_id(rule_id: str) -> Rule:
-    """Instantiate one rule by its id (raises KeyError when unknown).
-
-    Syntactic rules win a tie — ``telemetry-guard`` resolves to the
-    original implementation, matching ``--no-flow`` behaviour.
-    """
+    """Instantiate one rule by its id (raises KeyError when unknown)."""
     from ..flow.rules import FLOW_RULE_CLASSES  # late: avoids a cycle
 
     for cls in RULE_CLASSES + FLOW_RULE_CLASSES:

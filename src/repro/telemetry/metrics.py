@@ -1,11 +1,13 @@
 """Metrics primitives: counters, gauges, fixed-bucket histograms.
 
 The :class:`MetricsRegistry` is the single home for every number the
-simulator reports.  The legacy aggregate dataclasses
+simulator reports.  The per-layer counter classes
 (:class:`~repro.ftl.stats.DeviceStats`,
-:class:`~repro.core.stats.IPAStats`) are thin façades over registry
-counters, so one registry snapshot — or one Prometheus dump — carries
-the whole stack's accounting.
+:class:`~repro.core.stats.IPAStats`,
+:class:`~repro.ftl.blockdev.BlockSSDStats`) are thin
+:class:`CounterFacade` subclasses over registry counters, so one
+registry snapshot — or one Prometheus dump — carries the whole stack's
+accounting.
 
 Histograms use **fixed** bucket boundaries chosen at creation time
 (Prometheus-style cumulative ``le`` buckets at export).  Three default
@@ -16,6 +18,7 @@ microseconds, delta sizes in bytes, and appends-per-page counts.
 from __future__ import annotations
 
 import bisect
+from typing import TYPE_CHECKING, Any
 
 
 #: Latency buckets in microseconds (reads start ~25us, GC-delayed
@@ -234,3 +237,86 @@ class MetricsRegistry:
         """Zero every registered metric (run boundaries)."""
         for metric in self._metrics.values():
             metric.reset()
+
+
+def _counter_property(name: str, doc: str) -> property:
+    """A property delegating ``stats.<name>`` to a registry counter."""
+
+    def fget(self):
+        return self._metrics[name].value
+
+    def fset(self, value):
+        self._metrics[name].value = value
+
+    return property(fget, fset, doc=doc)
+
+
+class CounterFacade:
+    """Attribute façade over registry counters: the ``*Stats`` base.
+
+    A subclass declares its counters once, as ``FIELDS`` (field name ->
+    help string) plus the metric-name ``STEM`` (``"device_"``, ...);
+    fields listed in ``FLOATS`` start at ``0.0`` instead of ``0``.  At
+    class creation every field becomes a property reading and writing
+    the registry counter ``<prefix><STEM><field>``, so
+    ``stats.host_reads += 1`` moves the number a Prometheus dump shows.
+
+    Construction takes the fields as keywords.  A stand-alone instance
+    owns a private registry; re-running ``stats.__init__()`` (the
+    drivers' reset idiom) zeroes the counters but keeps the registry
+    home; :meth:`bind` re-homes the counters into a shared registry
+    without losing their values.
+    """
+
+    FIELDS: dict[str, str] = {}
+    STEM = ""
+    FLOATS: frozenset[str] = frozenset()
+    #: Metric-name prefix in front of ``STEM`` (set per instance by
+    #: subclasses whose counters need one).
+    _prefix = ""
+
+    if TYPE_CHECKING:
+        # The field properties are built at run time; let the type
+        # checker see them as plain attributes.
+        def __getattr__(self, name: str) -> Any: ...
+        def __setattr__(self, name: str, value: Any) -> None: ...
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name, doc in cls.FIELDS.items():
+            setattr(cls, name, _counter_property(name, doc))
+
+    def __init__(self, registry: MetricsRegistry | None = None, **values: float) -> None:
+        unknown = sorted(values.keys() - self.FIELDS.keys())
+        if unknown:
+            raise TypeError(
+                f"{type(self).__name__}() got unexpected keyword arguments {unknown}"
+            )
+        if registry is None:
+            # Re-running __init__() on a live instance resets the
+            # counters but keeps their registry home.
+            registry = getattr(self, "_registry", None) or MetricsRegistry()
+        self._registry = registry
+        self._metrics = {
+            name: registry.counter(f"{self._prefix}{self.STEM}{name}", help=help_text)
+            for name, help_text in self.FIELDS.items()
+        }
+        for name, counter in self._metrics.items():
+            counter.value = values.get(name, 0.0 if name in self.FLOATS else 0)
+
+    def bind(self, registry: MetricsRegistry) -> None:
+        """Re-home the counters into ``registry``, keeping their values."""
+        if registry is self._registry:
+            return
+        for metric in self._metrics.values():
+            registry.adopt(metric)
+        self._registry = registry
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__name__}({fields})"

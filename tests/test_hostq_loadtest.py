@@ -145,6 +145,21 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "queue-depth sweep" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--queue-depth", "0"],
+            ["--level", "txn", "--queue-depth", "0"],
+            ["--group-commit", "0"],
+            ["--level", "txn", "--group-commit", "0"],
+            ["--arrival", "open", "--rate", "0"],
+            ["--level", "txn", "--ops-per-txn", "-1"],
+        ],
+    )
+    def test_invalid_input_prints_error_line(self, flags, capsys):
+        assert main(["loadtest", "--pages", "32", "--txns", "4", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_sweep_list_errors(self, capsys):
         assert main([
             "loadtest", "--sweep", "1,two",

@@ -230,21 +230,6 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert out.startswith("::error file=")
 
-    def test_no_flow_escape_hatch(self, tmp_path, capsys):
-        pkg = tmp_path / "src" / "repro" / "hostq"
-        pkg.mkdir(parents=True)
-        src = (
-            "def locks_program(lpns):\n"
-            "    for lpn in lpns:\n"
-            "        yield _Acquire(lpn)\n"
-        )
-        (pkg / "bad.py").write_text(src)
-        # Module names resolve via the src layout anchor; the flow
-        # pass fires on the hostq module, --no-flow does not.
-        assert main(["lint", str(tmp_path)]) == 1
-        assert "lock-ordering" in capsys.readouterr().out
-        assert main(["lint", "--no-flow", str(tmp_path)]) == 0
-
 
 def test_src_repro_is_iplint_clean():
     """The standing invariant: the shipped tree has zero findings.

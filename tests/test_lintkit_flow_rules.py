@@ -532,8 +532,6 @@ class TestFlowContextCaching:
         )
         findings = run_lint([tmp_path], root=tmp_path)
         assert any(f.rule == "lock-ordering" for f in findings)
-        without_flow = run_lint([tmp_path], root=tmp_path, flow=False)
-        assert all(f.rule != "lock-ordering" for f in without_flow)
 
 
 class TestSuppressionsAndExemptions:

@@ -21,10 +21,10 @@ from repro.lintkit.rules import (
     DeviceLayeringRule,
     ExceptionDisciplineRule,
     IsppSafetyRule,
-    TelemetryGuardRule,
     default_rules,
     rule_by_id,
 )
+from repro.lintkit.flow.rules import FLOW_RULE_CLASSES, FlowTelemetryGuardRule
 
 
 def lint_snippet(source, rule, module="repro.storage.fixture"):
@@ -229,12 +229,12 @@ GUARD_PASS = """
 
 class TestTelemetryGuard:
     def test_unguarded_emit_flagged(self):
-        findings = lint_snippet(GUARD_FAIL, TelemetryGuardRule())
+        findings = lint_snippet(GUARD_FAIL, FlowTelemetryGuardRule())
         assert len(findings) == 1
         assert findings[0].rule == "telemetry-guard"
 
     def test_guarded_emit_clean(self):
-        assert lint_snippet(GUARD_PASS, TelemetryGuardRule()) == []
+        assert lint_snippet(GUARD_PASS, FlowTelemetryGuardRule()) == []
 
     def test_bailout_guard_recognised(self):
         findings = lint_snippet(
@@ -244,7 +244,7 @@ class TestTelemetryGuard:
                     return
                 self.events.emit(HostIOEvent(op="read", lpn=lpn))
             """,
-            TelemetryGuardRule(),
+            FlowTelemetryGuardRule(),
         )
         assert findings == []
 
@@ -256,7 +256,7 @@ class TestTelemetryGuard:
                 if not self.events.active:
                     return
             """,
-            TelemetryGuardRule(),
+            FlowTelemetryGuardRule(),
         )
         assert len(findings) == 1
 
@@ -267,13 +267,13 @@ class TestTelemetryGuard:
                 if lpn > 0:
                     self.events.emit(HostIOEvent(op="read", lpn=lpn))
             """,
-            TelemetryGuardRule(),
+            FlowTelemetryGuardRule(),
         )
         assert len(findings) == 1
 
     def test_event_bus_module_exempt(self):
         findings = lint_snippet(
-            GUARD_FAIL, TelemetryGuardRule(), module="repro.telemetry.events"
+            GUARD_FAIL, FlowTelemetryGuardRule(), module="repro.telemetry.events"
         )
         assert findings == []
 
@@ -460,27 +460,22 @@ class TestClockDiscipline:
 class TestRegistry:
     def test_every_rule_has_unique_id_and_description(self):
         ids = [cls.id for cls in RULE_CLASSES]
-        assert len(set(ids)) == len(ids) == 7
+        assert len(set(ids)) == len(ids) == 6
         assert all(cls.description for cls in RULE_CLASSES)
 
     def test_default_rules_instantiates_all_syntactic(self):
-        assert {type(rule) for rule in default_rules(flow=False)} == set(
-            RULE_CLASSES
-        )
+        classes = [type(rule) for rule in default_rules()]
+        assert classes == list(RULE_CLASSES + FLOW_RULE_CLASSES)
 
     def test_default_rules_with_flow_swaps_telemetry_guard(self):
-        from repro.lintkit.flow.rules import FLOW_RULE_CLASSES
-
-        classes = {type(rule) for rule in default_rules()}
-        assert TelemetryGuardRule not in classes
-        assert set(FLOW_RULE_CLASSES) <= classes
-        assert classes >= set(RULE_CLASSES) - {TelemetryGuardRule}
+        guards = [rule for rule in default_rules() if rule.id == "telemetry-guard"]
+        assert [type(rule) for rule in guards] == [FlowTelemetryGuardRule]
         ids = [rule.id for rule in default_rules()]
         assert len(ids) == len(set(ids))
 
     def test_rule_by_id(self):
         assert isinstance(rule_by_id("ispp-safety"), IsppSafetyRule)
-        assert rule_by_id("telemetry-guard").__class__ is TelemetryGuardRule
+        assert isinstance(rule_by_id("telemetry-guard"), FlowTelemetryGuardRule)
         with pytest.raises(KeyError):
             rule_by_id("no-such-rule")
 

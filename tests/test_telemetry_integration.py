@@ -9,6 +9,9 @@ the Prometheus dump carries at least one latency histogram.
 import pytest
 
 from repro.analysis.cdf import CDF
+from repro.core.stats import IPAStats
+from repro.ftl.blockdev import BlockSSDStats
+from repro.ftl.stats import DeviceStats
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EVENT_BY_NAME
 from repro.telemetry.export import (
@@ -18,6 +21,7 @@ from repro.telemetry.export import (
     prometheus_text,
     read_jsonl_trace,
 )
+from repro.telemetry.metrics import MetricsRegistry
 from repro.testbed import build_engine, emulator_device, load_scaled
 from repro.workloads import TPCB, TPCBConfig
 
@@ -122,9 +126,43 @@ class TestStatsFacade:
         engine.device.stats.host_reads += 3
         assert counter.value == 3
 
-    def test_snapshot_includes_byte_counters(self):
-        from repro.ftl.stats import DeviceStats
+    @pytest.mark.parametrize(
+        "cls, prefix, stem",
+        [
+            (DeviceStats, None, "device_"),
+            (DeviceStats, "shard1_", "shard1_device_"),
+            (IPAStats, None, "ipa_"),
+            (BlockSSDStats, None, "blockssd_"),
+        ],
+        ids=["device", "device-shard1", "ipa", "blockssd"],
+    )
+    def test_counter_facade_contract(self, cls, prefix, stem):
+        fields = list(cls.FIELDS)
+        field = fields[0]
+        registry = MetricsRegistry()
+        extra = {} if prefix is None else {"prefix": prefix}
+        stats = cls(registry=registry, **extra, **{field: 5})
+        assert [metric.name for metric in registry] == [stem + name for name in fields]
+        counter = registry.get(stem + field)
+        assert getattr(stats, field) == counter.value == 5
+        assert stats == cls(**{field: 5}) != cls()
+        setattr(stats, field, getattr(stats, field) + 1)
+        assert counter.value == 6
+        # Reset keeps the registry home and the prefix.
+        stats.__init__()
+        assert registry.get(stem + field) is counter and counter.value == 0
+        assert len(registry) == len(fields)
+        # bind() re-homes the same counters, values intact.
+        setattr(stats, field, 7)
+        shared = MetricsRegistry()
+        stats.bind(shared)
+        assert shared.get(stem + field) is counter and getattr(stats, field) == 7
+        stats.__init__()
+        assert shared.get(stem + field).value == 0
+        with pytest.raises(TypeError):
+            cls(no_such_counter=1)
 
+    def test_snapshot_includes_byte_counters(self):
         snap = DeviceStats(
             bytes_host_read=10, bytes_page_written=20, bytes_delta_written=5
         ).snapshot()
